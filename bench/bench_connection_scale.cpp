@@ -8,8 +8,8 @@
 //
 //   - bytes per connection, measured from the server's slab arena
 //     (bytes_reserved / live -- flat memory, no per-connection heap),
-//   - pending scheduler events (the coalesced per-page timers make this
-//     O(pages), not O(connections)),
+//   - pending scheduler events, summed over every shard's wheel (the
+//     coalesced per-page timers make this O(pages), not O(connections)),
 //   - packets per wall second under a mixed load: every connection runs
 //     keepalive off the shared page ticks while a sample of connections
 //     pushes application data.
@@ -203,7 +203,10 @@ ScaleResult measure_level(Fixture& bed, std::size_t level) {
   result.slab_allocated = slab.allocated;
   result.slab_recycled = slab.recycled;
   result.slab_bytes = slab.bytes;
-  result.pending_events = bed.net.scheduler().pending();
+  // Every shard's wheel: Network::scheduler() is shard 0's alone.
+  for (std::size_t i = 0; i < bed.net.shards(); ++i) {
+    result.pending_events += bed.net.engine().scheduler(i).pending();
+  }
 
   // Mixed load: a sample of connections pushes 1 KiB of application data
   // while every established connection keeps its keepalive cadence going

@@ -56,7 +56,11 @@ namespace {
 // leaked: frames can outlive every stack (deferred-destruction scheduler
 // callbacks run at teardown), so a destruction-ordered pool would be
 // use-after-free bait.  Both are bounded, keeping the retained memory
-// small per thread.
+// small per thread.  The bound has a price under deep bursts: a burst that
+// holds more buffers live at once than the caps below let a pool keep
+// misses on the excess every time it recurs.  Cross-shard migration is not
+// what makes the connection fleet miss (one shard misses as often as two);
+// bursts deeper than the caps are a large part of it.
 
 constexpr std::size_t kMaxPooledBytes = 1024;       ///< entries
 constexpr std::size_t kMaxPooledCapacity = 256 * 1024;  ///< per entry

@@ -9,7 +9,11 @@ namespace hydranet::link {
 
 namespace {
 PerThreadCounters<BatchCounters>& batch_registry() {
+  HN_EFFECT_ESCAPE(
+      "leaked registry singleton: allocated once per process on the first "
+      "burst; every later flush reads the initialised pointer")
   static auto* registry = new PerThreadCounters<BatchCounters>();
+  HN_EFFECT_ESCAPE_END()
   return *registry;
 }
 }  // namespace
@@ -215,47 +219,71 @@ void Link::deliver(Direction& dir, PacketBuffer frame) {
 
 // ---- batched rx (config.batch_frames > 1) ---------------------------------
 
+void Link::schedule_flush(Direction& dir, sim::TimePoint at) {
+  dir.rx_flush_scheduled = true;
+  dir.rx_flush_at = at;
+  dir.rx_flush_timer =
+      dir.src->schedule_at(at, [this, &dir] { flush_rx(dir); });
+}
+
 void Link::enqueue_arrival(Direction& dir, sim::TimePoint arrival,
-                           PacketBuffer frame) {
-  dir.rx_pending.emplace_back(arrival, std::move(frame));
+                           PacketBuffer frame) HN_NONALLOCATING {
+  if (dir.rx_count == dir.rx_ring.size()) {
+    // Full: double the ring, unwrapping the live entries to its front.
+    HN_EFFECT_ESCAPE(
+        "rx ring growth: power-of-two doubling, only when the backlog "
+        "passes its high-water mark; a warm link reuses its ring")
+    std::vector<PendingFrame> grown(
+        dir.rx_ring.empty() ? 1 : 2 * dir.rx_ring.size());
+    for (std::size_t i = 0; i < dir.rx_count; ++i) {
+      grown[i] = std::move(
+          dir.rx_ring[(dir.rx_head + i) & (dir.rx_ring.size() - 1)]);
+    }
+    dir.rx_ring = std::move(grown);
+    dir.rx_head = 0;
+    HN_EFFECT_ESCAPE_END()
+  }
+  PendingFrame& slot =
+      dir.rx_ring[(dir.rx_head + dir.rx_count) & (dir.rx_ring.size() - 1)];
+  slot.arrival = arrival;
+  slot.frame = std::move(frame);
+  dir.rx_count++;
   if (!dir.rx_flush_scheduled) {
-    dir.rx_flush_scheduled = true;
-    dir.rx_flush_at = arrival;
-    dir.rx_flush_timer =
-        dir.src->schedule_at(arrival, [this, &dir] { flush_rx(dir); });
-  } else if (dir.rx_pending.size() == config_.batch_frames &&
+    schedule_flush(dir, arrival);
+  } else if (dir.rx_count == config_.batch_frames &&
              arrival > dir.rx_flush_at) {
     // The batch just filled: coalesce into one event at its newest
     // member's arrival.  Only the fill transition postpones (never later
     // frames), so delivery lags a frame's own arrival by at most
-    // batch_frames serialisation times.
+    // batch_frames serialisation times plus one propagation delay.
     dir.src->cancel(dir.rx_flush_timer);
-    dir.rx_flush_at = arrival;
-    dir.rx_flush_timer =
-        dir.src->schedule_at(arrival, [this, &dir] { flush_rx(dir); });
+    schedule_flush(dir, arrival);
   }
 }
 
-void Link::flush_rx(Direction& dir) {
+void Link::flush_rx(Direction& dir) HN_NONALLOCATING {
   dir.rx_flush_scheduled = false;
   dir.rx_flush_timer = sim::kInvalidTimer;
   const sim::TimePoint now = dir.src->now();
-  // Everything due by now leaves as one span, in arrival order.  Move the
-  // span out first: handle_rx_burst can synchronously transmit (TCP ACKs)
-  // and grow rx_pending behind it.
-  std::size_t due = 0;
-  while (due < dir.rx_pending.size() && dir.rx_pending[due].first <= now) {
-    due++;
+  const std::size_t mask = dir.rx_ring.size() - 1;
+  // Everything due by now leaves as one span, in arrival order: pop it off
+  // the ring head into the burst span first, because handle_rx_burst can
+  // synchronously transmit (TCP ACKs) and push onto a ring — this one
+  // included — while the span is being delivered.  The span is taken out
+  // of `dir` for the call and put back after, so a nested flush can never
+  // clear it underneath the interface.
+  std::vector<PacketBuffer> burst = std::move(dir.rx_burst);
+  while (dir.rx_count > 0 && dir.rx_ring[dir.rx_head].arrival <= now) {
+    HN_EFFECT_ESCAPE(
+        "burst span growth: the span is reused across flushes, so it "
+        "grows only when a burst outgrows every earlier one")
+    burst.push_back(std::move(dir.rx_ring[dir.rx_head].frame));
+    HN_EFFECT_ESCAPE_END()
+    dir.rx_head = (dir.rx_head + 1) & mask;
+    dir.rx_count--;
   }
+  const std::size_t due = burst.size();
   if (due > 0) {
-    std::vector<PacketBuffer> burst;
-    burst.reserve(due);
-    for (std::size_t i = 0; i < due; ++i) {
-      burst.push_back(std::move(dir.rx_pending[i].second));
-    }
-    dir.rx_pending.erase(dir.rx_pending.begin(),
-                         dir.rx_pending.begin() +
-                             static_cast<std::ptrdiff_t>(due));
     if (is_down()) {
       dir.stats.down_drops_rx += due;
     } else {
@@ -263,14 +291,13 @@ void Link::flush_rx(Direction& dir) {
       BatchCounters& c = batch_counters();
       c.bursts++;
       c.packets += due;
-      dir.destination->handle_rx_burst(burst.data(), burst.size());
+      dir.destination->handle_rx_burst(burst.data(), due);
     }
   }
-  if (!dir.rx_pending.empty() && !dir.rx_flush_scheduled) {
-    dir.rx_flush_scheduled = true;
-    dir.rx_flush_at = dir.rx_pending.front().first;
-    dir.rx_flush_timer = dir.src->schedule_at(dir.rx_flush_at,
-                                              [this, &dir] { flush_rx(dir); });
+  burst.clear();
+  dir.rx_burst = std::move(burst);
+  if (dir.rx_count > 0 && !dir.rx_flush_scheduled) {
+    schedule_flush(dir, dir.rx_ring[dir.rx_head].arrival);
   }
 }
 

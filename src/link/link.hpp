@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "common/effect_annotations.hpp"
 #include "common/packet_buffer.hpp"
 #include "common/result.hpp"
 #include "common/rng.hpp"
@@ -57,8 +58,11 @@ class Link {
     /// became due together are handed to the interface as one span, and a
     /// full batch is coalesced into a single event at its newest member's
     /// arrival (bounded extra latency: at most batch_frames serialisation
-    /// times).  Batching preserves streams, not timelines; see
-    /// tests/test_batch_property.cpp.
+    /// times, plus one propagation delay when the batch fills behind a
+    /// frame already in flight).  Under a deep backlog each flush delivers
+    /// only the frames due at its instant, so after the first batch frames
+    /// land one event per arrival.  Batching preserves streams, not
+    /// timelines; see tests/test_batch_property.cpp.
     std::size_t batch_frames = 1;
   };
 
@@ -137,6 +141,11 @@ class Link {
     std::uint64_t down_drops_rx = 0;  ///< rx: went down while in flight
   };
 
+  struct PendingFrame {
+    sim::TimePoint arrival{};
+    PacketBuffer frame;
+  };
+
   struct Direction {
     NetworkInterface* destination = nullptr;
     /// Scheduler of the transmitting side — where the serialisation timer,
@@ -155,9 +164,20 @@ class Link {
     sim::TimePoint transmitter_free{};
     std::size_t queued = 0;
     /// Batched rx (config.batch_frames > 1, same-shard only): frames
-    /// awaiting delivery with their arrival instants, plus the one
-    /// pending flush event.
-    std::vector<std::pair<sim::TimePoint, PacketBuffer>> rx_pending;
+    /// awaiting delivery with their arrival instants, in arrival order, as
+    /// a FIFO ring over `rx_ring` — `rx_count` live entries starting at
+    /// `rx_head`.  A flush pops its due prefix by advancing the head, so
+    /// its cost is the frames it delivers, never the backlog behind them.
+    /// The ring's length is a power of two that only grows, when a push
+    /// finds it full, so retained memory is the high-water backlog rounded
+    /// up to a power of two.
+    std::vector<PendingFrame> rx_ring;
+    std::size_t rx_head = 0;
+    std::size_t rx_count = 0;
+    /// The span a flush hands to the interface; reused so a warm flush
+    /// allocates nothing (capacity stays at the largest burst seen).
+    std::vector<PacketBuffer> rx_burst;
+    /// The one pending flush event.
     sim::TimerId rx_flush_timer = sim::kInvalidTimer;
     sim::TimePoint rx_flush_at{};
     bool rx_flush_scheduled = false;
@@ -166,9 +186,12 @@ class Link {
   };
 
   Direction& direction_from(const NetworkInterface* from);
+  /// Batched-rx hot-path effect roots (DESIGN.md §12): once the ring and
+  /// the burst span reach their high-water sizes, neither allocates.
   void enqueue_arrival(Direction& dir, sim::TimePoint arrival,
-                       PacketBuffer frame);
-  void flush_rx(Direction& dir);
+                       PacketBuffer frame) HN_NONALLOCATING;
+  void flush_rx(Direction& dir) HN_NONALLOCATING;
+  void schedule_flush(Direction& dir, sim::TimePoint at);
   void deliver(Direction& dir, PacketBuffer frame);
 
   sim::Scheduler& scheduler_;  ///< legacy single-scheduler home

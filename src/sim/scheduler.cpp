@@ -82,8 +82,9 @@ void Scheduler::wheel_insert(const QEntry& entry) {
     b.unsorted = true;  // cascade appended behind a later schedule
   }
   HN_EFFECT_ESCAPE(
-      "bucket vectors retain capacity across drains: push_back allocates "
-      "only while a bucket grows past its all-time high-water mark")
+      "bucket vectors retain up to kBucketRetainEntries of capacity across "
+      "drains: push_back allocates only while a bucket grows past that, by "
+      "doubling, amortised over the entries it then holds")
   b.entries.push_back(entry);
   HN_EFFECT_ESCAPE_END()
   LevelOccupancy& occ = occupied_[level];
@@ -95,7 +96,18 @@ void Scheduler::wheel_insert(const QEntry& entry) {
 
 void Scheduler::reset_bucket(int level, std::uint32_t slot_index) {
   Bucket& b = bucket(level, slot_index);
-  b.entries.clear();  // keeps capacity: steady state allocates nothing
+  if (b.entries.capacity() <= kBucketRetainEntries) {
+    b.entries.clear();  // keeps capacity: steady state allocates nothing
+  } else {
+    // A burst-sized bucket: each bucket is revisited only once per turn of
+    // its level, so keeping its peak would only let the wheel's memory
+    // creep towards every bucket's all-time high.
+    HN_EFFECT_ESCAPE(
+        "burst-sized bucket storage released on reset: at most once per "
+        "turn of the level, paid for by the fill that grew it")
+    std::vector<QEntry>().swap(b.entries);
+    HN_EFFECT_ESCAPE_END()
+  }
   b.drained = 0;
   b.unsorted = false;
   LevelOccupancy& occ = occupied_[level];

@@ -39,7 +39,7 @@
 // The hot path is allocation-free in steady state: callbacks are
 // small-buffer-optimised (InlineFunction, no per-event malloc for typical
 // captures) and live in a recycled slot pool; bucket vectors retain their
-// capacity across drains.
+// capacity across drains, up to kBucketRetainEntries each.
 #pragma once
 
 #include <cstdint>
@@ -137,6 +137,12 @@ class Scheduler {
   static constexpr int kLevels = 11;
   static constexpr int kSlotWords = (kWheelSlots + 63) / 64;
   static constexpr std::size_t kStagingCap = 64;
+  /// Capacity a bucket keeps across a reset.  A bucket that held more (a
+  /// burst of timers landing in one slot) gives its storage back and
+  /// regrows by doubling on its next fill, so the wheel retains at most
+  /// kLevels x kWheelSlots x this many entries instead of every bucket's
+  /// all-time peak.
+  static constexpr std::size_t kBucketRetainEntries = 256;
 
   struct Slot {
     Callback cb;

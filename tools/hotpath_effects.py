@@ -124,6 +124,10 @@ EFFECT_ROOTS = [
     # Shard mailbox post/drain (PR 8: no locks on the datapath).
     ("post", ("src/sim/shard.hpp", "src/sim/shard.cpp"), NONBLOCK),
     ("drain_inboxes", ("src/sim/shard.hpp", "src/sim/shard.cpp"), NONBLOCK),
+    # Batched link rx: ring push and head-cursor burst pop.
+    ("enqueue_arrival", ("src/link/link.hpp", "src/link/link.cpp"),
+     NONALLOC),
+    ("flush_rx", ("src/link/link.hpp", "src/link/link.cpp"), NONALLOC),
 ]
 
 # Components whose whole purpose is owning hot-path memory: allocation and
